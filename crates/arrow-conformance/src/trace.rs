@@ -193,8 +193,10 @@ mod tests {
     use crate::net_driver::NetDriver;
     use crate::sweep::{derive_spec, SweepOptions};
     use arrow_core::driver::ThreadDriver;
+    use arrow_trace::recorder::TraceEventRecord;
+    use std::collections::BTreeMap;
 
-    fn traces_via<F>(run: F) -> (QueuingOutcome, Vec<RequestTrace>)
+    fn events_via<F>(run: F) -> (QueuingOutcome, Vec<TraceEventRecord>)
     where
         F: FnOnce(&Arc<TraceRecorder>) -> Result<QueuingOutcome, RunError>,
     {
@@ -203,7 +205,35 @@ mod tests {
         let events = Arc::try_unwrap(recorder)
             .expect("probes flushed at shutdown")
             .finish();
+        (outcome, events)
+    }
+
+    fn traces_via<F>(run: F) -> (QueuingOutcome, Vec<RequestTrace>)
+    where
+        F: FnOnce(&Arc<TraceRecorder>) -> Result<QueuingOutcome, RunError>,
+    {
+        let (outcome, events) = events_via(run);
         (outcome, analysis::reconstruct(&events))
+    }
+
+    /// Per-kind counts of the probe events `case`'s sim tier emits, with the
+    /// setup of [`trace_sim_case`].
+    fn sim_probe_counts(case: &ReplayCase) -> BTreeMap<String, usize> {
+        let instance = case.spec.build_instance();
+        let mut cfg = case.spec.run_config(ProtocolKind::Arrow);
+        cfg.ack_to_requester = true;
+        let (_, events) = events_via(|rec| {
+            arrow_core::run::run_schedule_probed(&instance, &case.schedule(), &cfg, |v| {
+                rec.sim_probe(v)
+            })
+        });
+        let mut counts = BTreeMap::new();
+        for r in events {
+            let name = format!("{:?}", r.ev);
+            let kind = name.split([' ', '{']).next().unwrap_or_default();
+            *counts.entry(kind.to_string()).or_insert(0) += 1;
+        }
+        counts
     }
 
     /// Satellite property: across seeded conformance cases and all three tiers,
@@ -253,6 +283,21 @@ mod tests {
         let events = arrow_trace::chrome::parse_check(&text).unwrap();
         assert!(events > 0);
         let _ = std::fs::remove_dir_all(&dir);
+
+        // Every probe fires from the shared arrow automaton or its simulator
+        // adapter; pin exactly what this case emits, per kind.
+        let recorded = [
+            ("Granted", 6),
+            ("QueueReceived", 8),
+            ("QueueSent", 8),
+            ("QueuedBehind", 6),
+            ("RequestIssued", 6),
+        ];
+        let want: BTreeMap<String, usize> = recorded
+            .into_iter()
+            .map(|(kind, n)| (kind.to_string(), n))
+            .collect();
+        assert_eq!(sim_probe_counts(&case), want);
     }
 
     #[test]

@@ -1,28 +1,33 @@
-//! The arrow protocol node automaton (Section 2 of the paper), generalized to a
-//! multi-object directory.
+//! The simulator tier's arrow node: a [`desim`] adapter over the shared arrow
+//! automaton.
 //!
-//! For every object `o` served by the directory, every node `v` keeps a pointer
-//! `link_o(v)` to a neighbour in the pre-selected spanning tree (or to itself, in
-//! which case `v` is object `o`'s *sink*), and `id_o(v)`, the id of the last queuing
-//! request for `o` issued by `v` (`⊥` if none; the object's initial root holds the
-//! virtual request `r0`). Single-object deployments are the `K = 1` special case and
-//! use the original constructors/accessors unchanged.
+//! The protocol itself — per-object link pointers, path reversal, epoch recovery
+//! and the re-issue of pending requests (Section 2 of the paper, generalized to a
+//! multi-object directory) — exists once, in [`QueuingCore`]. The thread, socket
+//! and cluster tiers run the same automaton inside [`crate::live::ArrowCore`], and
+//! the `arrow-model` checker verifies it, so the simulator's figures come from the
+//! model-checked code.
 //!
-//! * When `v` **issues** a request `a` for object `o` it atomically sets
-//!   `id_o(v) ← a`, sends `queue(a, o)` to `link_o(v)` and sets `link_o(v) ← v`.
-//! * When `u` **receives** `queue(a, o)` from `w` it atomically flips
-//!   `link_o(u) ← w`; if the old link pointed to another node it forwards
-//!   `queue(a, o)` there, otherwise `u` was `o`'s sink and `a` has been queued behind
-//!   `id_o(u)` — the queuing of `a` is complete.
+//! [`ArrowNode`] adds only what is specific to the paper's simulation:
 //!
-//! Objects interact only through the shared physical links and the shared local
-//! service queue; their link pointers and queues are fully independent.
+//! * the per-message local service time ([`crate::protocol::ServiceQueue`]);
+//! * the optional requester acknowledgement ([`ProtoMsg::Found`]), routed over the
+//!   graph metric `d_G` when a distance matrix is provided via
+//!   [`ArrowNode::set_distances`];
+//! * the closed-loop workload of Section 5, drawing its ids from the core's
+//!   request-id sequence;
+//! * virtual-time order records, issue and completion logs, and the
+//!   inter-processor `queue()` hop count of Figure 11;
+//! * protocol-violation capture and duplicate-completion suppression across
+//!   recovery epochs.
 //!
-//! The node also implements the optional requester acknowledgement used by the
-//! paper's experiment (routed over the graph metric `d_G` when a distance matrix is
-//! provided via [`ArrowNode::set_distances`]), per-message local service time (see
-//! [`crate::protocol::ServiceQueue`]) and the closed-loop workload of Section 5.
+//! Every dispatch feeds one input to the core and then translates the actions the
+//! core reported, in order: [`CoreAction::SendQueue`] becomes a simulator send,
+//! [`CoreAction::Queued`] an order record plus either the local completion or a
+//! `Found` acknowledgement. An own request stops being pending in the core when it
+//! completes here (locally or by its acknowledgement).
 
+use crate::live::core::{CoreAction, QueuingCore};
 use crate::order::OrderRecord;
 use crate::protocol::{ProtoMsg, ServiceQueue, WorkItem, SERVICE_TIMER_TAG};
 use crate::request::{ObjectId, RequestId};
@@ -30,31 +35,22 @@ use crate::workload::ClosedLoopSpec;
 use arrow_trace::{NoProbe, Probe, ProbeEvent};
 use desim::{Context, Process, SimDuration, SimTime};
 use netgraph::{DistanceMatrix, NodeId};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Per-object arrow state at one node: the link pointer and the last issued id.
-#[derive(Debug, Clone, Copy)]
-struct ObjectState {
-    /// `link_o(v)`: a tree neighbour, or the node itself when it is the sink.
-    link: NodeId,
-    /// `id_o(v)`: the last request for this object issued here (`None` = ⊥). The
-    /// object's initial root starts with the virtual request [`RequestId::ROOT`].
-    last_id: Option<RequestId>,
-}
-
-/// Per-node state of the arrow protocol (one independent arrow automaton per object).
+/// One simulated arrow node: the shared [`QueuingCore`] driven by the simulator.
 ///
-/// `P` is the observability hook ([`arrow_trace::Probe`]); the default
-/// [`NoProbe`] compiles the instrumentation out. A recording node (see
-/// [`ArrowNode::new_multi_with_probe`]) emits a [`ProbeEvent::Tick`] carrying
-/// the simulation clock before each dispatch, so a shared sim-mode recorder
-/// timestamps events in simulation units.
+/// `P` is the observability hook ([`arrow_trace::Probe`]) of the core; the default
+/// [`NoProbe`] compiles the instrumentation out. A recording node emits a
+/// [`ProbeEvent::Tick`] carrying the simulation clock before each dispatch, so a
+/// shared sim-mode recorder timestamps events in simulation units.
 #[derive(Debug)]
 pub struct ArrowNode<P: Probe = NoProbe> {
-    me: NodeId,
-    /// Per-object arrow state, indexed by [`ObjectId`].
-    objects: Vec<ObjectState>,
+    /// The arrow automaton of this node.
+    core: QueuingCore<P>,
+    /// The actions of the current core call, translated right after it (kept
+    /// between dispatches to reuse the allocation).
+    actions: Vec<CoreAction>,
     /// Whether to send a [`ProtoMsg::Found`] ack back to the requester.
     send_ack: bool,
     /// All-pairs graph distances: when present, acks travel as direct sends paying
@@ -62,8 +58,8 @@ pub struct ArrowNode<P: Probe = NoProbe> {
     distances: Option<Arc<DistanceMatrix>>,
     /// Local per-message service time model (shared across objects — the CPU is one).
     service: ServiceQueue,
-    /// Closed-loop workload state: requests still to issue and the issue sequence.
-    closed_loop: Option<ClosedLoopState>,
+    /// Closed-loop workload: requests this node still has to issue (0 in open loop).
+    closed_loop_remaining: u64,
     /// Successor notifications recorded at this node (it was the sink).
     records: Vec<OrderRecord>,
     /// Requests issued by this node: `(request, object, issue time)`.
@@ -78,117 +74,33 @@ pub struct ArrowNode<P: Probe = NoProbe> {
     /// input is dropped and described here instead of aborting the simulation, so
     /// the harness can surface it as a typed [`crate::run::RunError`].
     violation: Option<String>,
-    /// Current recovery epoch (0 until a fault detection signal arrives).
-    epoch: u64,
-    /// The initial link pointers, kept so an epoch bump can reset the tree
-    /// orientation (all pointers back towards each object's initial root).
-    initial_links: Vec<NodeId>,
-    /// This node's own requests that have not completed yet: re-issued (under the
-    /// same ids) after every epoch bump, so requests lost to a fault recover.
-    pending: BTreeSet<(ObjectId, RequestId)>,
     /// Own requests that have completed, used to drop duplicate completion
     /// notifications arriving across epochs (first one wins).
     completed: HashSet<RequestId>,
-    /// Stale-epoch messages dropped at this node.
-    stale_drops: u64,
     /// Duplicate completion notifications suppressed at this node.
     duplicate_grants: u64,
-    /// The observability hook (zero-sized and inert for [`NoProbe`]).
-    probe: P,
-}
-
-#[derive(Debug)]
-struct ClosedLoopState {
-    remaining: u64,
-    next_seq: u64,
-    total_nodes: u64,
-}
-
-impl ClosedLoopState {
-    fn next_request_id(&mut self, node: NodeId) -> RequestId {
-        // Unique across nodes: interleave by node id. +1 keeps ids disjoint from the
-        // reserved root id 0.
-        let id = 1 + node as u64 + self.next_seq * self.total_nodes;
-        self.next_seq += 1;
-        RequestId(id)
-    }
-}
-
-impl ArrowNode {
-    /// Create the single-object arrow automaton for node `me`.
-    ///
-    /// * `initial_link` — the initial pointer: the tree parent of `me`, or `me` itself
-    ///   for the initial root (which then also holds the virtual request `r0`).
-    /// * `send_ack` — send `Found` acknowledgements back to requesters.
-    /// * `service_time` — local per-message service time in time units (0 = free).
-    pub fn new(me: NodeId, initial_link: NodeId, send_ack: bool, service_time: f64) -> Self {
-        ArrowNode::new_multi(me, &[initial_link], send_ack, service_time)
-    }
-
-    /// Create the arrow automaton for node `me` serving `initial_links.len()` objects
-    /// over one tree. `initial_links[k]` is this node's initial pointer for object
-    /// `k`: its tree parent towards object `k`'s initial root, or `me` itself when
-    /// this node *is* that root (it then holds object `k`'s virtual request `r0`).
-    ///
-    /// # Panics
-    /// If `initial_links` is empty (a directory serves at least one object).
-    pub fn new_multi(
-        me: NodeId,
-        initial_links: &[NodeId],
-        send_ack: bool,
-        service_time: f64,
-    ) -> Self {
-        ArrowNode::new_multi_with_probe(me, initial_links, send_ack, service_time, NoProbe)
-    }
 }
 
 impl<P: Probe> ArrowNode<P> {
-    /// Like [`ArrowNode::new_multi`], with a recording probe observing every
-    /// protocol transition of this node.
+    /// The simulator node running `core`.
     ///
-    /// # Panics
-    /// If `initial_links` is empty (a directory serves at least one object).
-    pub fn new_multi_with_probe(
-        me: NodeId,
-        initial_links: &[NodeId],
-        send_ack: bool,
-        service_time: f64,
-        probe: P,
-    ) -> Self {
-        assert!(
-            !initial_links.is_empty(),
-            "a directory node serves at least one object"
-        );
-        let objects = initial_links
-            .iter()
-            .map(|&link| ObjectState {
-                link,
-                last_id: if link == me {
-                    Some(RequestId::ROOT)
-                } else {
-                    None
-                },
-            })
-            .collect();
+    /// * `send_ack` — send `Found` acknowledgements back to requesters.
+    /// * `service_time` — local per-message service time in time units (0 = free).
+    pub fn new(core: QueuingCore<P>, send_ack: bool, service_time: f64) -> Self {
         ArrowNode {
-            me,
-            objects,
+            core,
+            actions: Vec::new(),
             send_ack,
             distances: None,
             service: ServiceQueue::new(service_time),
-            closed_loop: None,
+            closed_loop_remaining: 0,
             records: Vec::new(),
             issued: Vec::new(),
             own_completions: Vec::new(),
             queue_hops: 0,
             violation: None,
-            epoch: 0,
-            initial_links: initial_links.to_vec(),
-            pending: BTreeSet::new(),
             completed: HashSet::new(),
-            stale_drops: 0,
             duplicate_grants: 0,
-            probe,
         }
     }
 
@@ -204,69 +116,22 @@ impl<P: Probe> ArrowNode<P> {
         self.distances = Some(distances);
     }
 
-    /// Number of objects this node serves.
-    pub fn object_count(&self) -> usize {
-        self.objects.len()
-    }
-
-    fn object(&self, obj: ObjectId) -> &ObjectState {
-        self.objects
-            .get(obj.0 as usize)
-            .unwrap_or_else(|| panic!("node {} does not serve object {obj}", self.me))
-    }
-
-    fn object_mut(&mut self, obj: ObjectId) -> &mut ObjectState {
-        let me = self.me;
-        self.objects
-            .get_mut(obj.0 as usize)
-            .unwrap_or_else(|| panic!("node {me} does not serve object {obj}"))
-    }
-
     /// Enable the closed-loop workload: this node will issue `spec.requests_per_node`
-    /// requests, the first at time 0 and each subsequent one as soon as the previous
-    /// completes (plus the local service time).
-    pub fn enable_closed_loop(&mut self, spec: &ClosedLoopSpec, total_nodes: usize) {
+    /// requests for the default object, the first at time 0 and each subsequent one
+    /// as soon as the previous completes (plus the local service time).
+    pub fn enable_closed_loop(&mut self, spec: &ClosedLoopSpec) {
         assert!(
             spec.local_service_time > 0.0,
             "closed-loop workloads need a positive local service time \
              (otherwise a node would issue its whole budget in a single instant)"
         );
-        self.closed_loop = Some(ClosedLoopState {
-            remaining: spec.requests_per_node,
-            next_seq: 0,
-            total_nodes: total_nodes as u64,
-        });
+        self.closed_loop_remaining = spec.requests_per_node;
         self.service = ServiceQueue::new(spec.local_service_time);
     }
 
-    /// Current link pointer of the default object (`me` when this node is its sink).
-    pub fn link(&self) -> NodeId {
-        self.link_for(ObjectId::DEFAULT)
-    }
-
-    /// Current link pointer for `obj` (`me` when this node is that object's sink).
-    pub fn link_for(&self, obj: ObjectId) -> NodeId {
-        self.object(obj).link
-    }
-
-    /// True if this node is currently the default object's sink (`link(v) = v`).
-    pub fn is_sink(&self) -> bool {
-        self.is_sink_for(ObjectId::DEFAULT)
-    }
-
-    /// True if this node is currently the sink of `obj` (`link_o(v) = v`).
-    pub fn is_sink_for(&self, obj: ObjectId) -> bool {
-        self.object(obj).link == self.me
-    }
-
-    /// `id(v)` of the default object: the last request issued here (`None` = ⊥).
-    pub fn last_request(&self) -> Option<RequestId> {
-        self.last_request_for(ObjectId::DEFAULT)
-    }
-
-    /// `id_o(v)`: the last request for `obj` issued here (`None` = ⊥).
-    pub fn last_request_for(&self, obj: ObjectId) -> Option<RequestId> {
-        self.object(obj).last_id
+    /// The arrow automaton of this node (link pointers, epoch, pending requests).
+    pub fn core(&self) -> &QueuingCore<P> {
+        &self.core
     }
 
     /// Successor notifications recorded at this node.
@@ -297,52 +162,50 @@ impl<P: Probe> ArrowNode<P> {
         self.violation.as_deref()
     }
 
-    /// The recovery epoch this node has reached (0 in fault-free runs).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// This node's own requests still awaiting completion.
-    pub fn pending(&self) -> impl Iterator<Item = (ObjectId, RequestId)> + '_ {
-        self.pending.iter().copied()
-    }
-
-    /// Stale-epoch messages dropped at this node.
-    pub fn stale_drops(&self) -> u64 {
-        self.stale_drops
-    }
-
     /// Duplicate cross-epoch completion notifications suppressed (first one wins).
     pub fn duplicate_grants(&self) -> u64 {
         self.duplicate_grants
     }
 
-    /// The actual protocol logic, invoked once the service queue releases a work item.
+    /// Hand a work item to the local service queue, processing it right away when
+    /// the queue is pass-through.
+    fn offer(&mut self, ctx: &mut Context<ProtoMsg>, item: WorkItem) {
+        if let Some((from, msg)) = self.service.offer(ctx, item) {
+            self.process(ctx, from, msg);
+        }
+    }
+
+    /// Feed one message to the core once the service queue releases it, then
+    /// translate the core's actions.
     fn process(&mut self, ctx: &mut Context<ProtoMsg>, from: NodeId, msg: ProtoMsg) {
         // Sync a sim-mode recorder to the simulation clock before any event from
         // this dispatch; compiles to nothing under `NoProbe`.
-        self.probe.record(ProbeEvent::Tick {
+        self.core.probe_mut().record(ProbeEvent::Tick {
             units: ctx.now().as_units_f64(),
         });
+        let mut found = None;
         match msg {
-            ProtoMsg::Issue { req, obj } => self.handle_issue(ctx, req, obj),
+            ProtoMsg::Issue { req, obj } => {
+                assert!(!req.is_root(), "cannot issue the virtual root request");
+                self.issued.push((req, obj, ctx.now()));
+                self.core.issue(obj, req, &mut self.actions);
+            }
             ProtoMsg::Queue {
                 req,
                 obj,
                 origin,
                 epoch,
-            } => self.handle_queue(ctx, from, req, obj, origin, epoch),
+            } => self
+                .core
+                .on_queue(from, obj, req, origin, epoch, &mut self.actions),
             ProtoMsg::Found {
-                req,
-                obj,
-                pred,
-                epoch,
-            } => self.handle_found(ctx, req, obj, pred, epoch),
-            ProtoMsg::Epoch { epoch } => {
-                if epoch > self.epoch {
-                    self.apply_epoch(ctx, epoch);
+                req, obj, epoch, ..
+            } => {
+                if self.core.admit_epoch(obj, epoch, &mut self.actions) {
+                    found = Some((req, obj));
                 }
             }
+            ProtoMsg::Epoch { epoch } => self.core.on_epoch(epoch, &mut self.actions),
             other => {
                 // A non-arrow message is a protocol bug; record it (first one wins)
                 // and drop the message rather than tearing the whole process down.
@@ -351,181 +214,76 @@ impl<P: Probe> ArrowNode<P> {
                 });
             }
         }
-    }
-
-    /// Epoch guard shared by the in-band message handlers: drop stale-epoch traffic
-    /// (returns `false`), fast-forward when the sender is ahead (a restarted node
-    /// can miss detection signals and learn the current epoch from live traffic).
-    fn admit_epoch(&mut self, ctx: &mut Context<ProtoMsg>, obj: ObjectId, epoch: u64) -> bool {
-        if epoch < self.epoch {
-            self.stale_drops += 1;
-            self.probe.record(ProbeEvent::StaleDrop { obj: obj.0 });
-            return false;
-        }
-        if epoch > self.epoch {
-            self.apply_epoch(ctx, epoch);
-        }
-        true
-    }
-
-    /// Advance to recovery epoch `epoch`: reset every object's link pointer to the
-    /// initial tree orientation (the initial root becomes the sink again, holding
-    /// the regenerated virtual request `r0`), then re-issue every still-pending own
-    /// request under its original id.
-    fn apply_epoch(&mut self, ctx: &mut Context<ProtoMsg>, epoch: u64) {
-        self.epoch = epoch;
-        self.probe.record(ProbeEvent::EpochAdopted { epoch });
-        let me = self.me;
-        for (state, &initial) in self.objects.iter_mut().zip(&self.initial_links) {
-            state.link = initial;
-            state.last_id = if initial == me {
-                Some(RequestId::ROOT)
-            } else {
-                None
-            };
-        }
-        for (obj, req) in self.pending.clone() {
-            self.issue_inner(ctx, req, obj);
-        }
-    }
-
-    /// Node `v` issues request `a` for object `o` (paper, Section 2):
-    /// `id_o(v) ← a`; send `queue(a, o)` to `link_o(v)`; `link_o(v) ← v`.
-    fn handle_issue(&mut self, ctx: &mut Context<ProtoMsg>, req: RequestId, obj: ObjectId) {
-        assert!(!req.is_root(), "cannot issue the virtual root request");
-        self.issued.push((req, obj, ctx.now()));
-        self.pending.insert((obj, req));
-        self.probe.record(ProbeEvent::RequestIssued {
-            obj: obj.0,
-            req: req.0,
-            origin: self.me,
-        });
-        self.issue_inner(ctx, req, obj);
-    }
-
-    /// The issue state transition, shared by fresh issues and post-bump re-issues.
-    fn issue_inner(&mut self, ctx: &mut Context<ProtoMsg>, req: RequestId, obj: ObjectId) {
-        let me = self.me;
-        let epoch = self.epoch;
-        let state = self.object_mut(obj);
-        let previous = state.last_id;
-        state.last_id = Some(req);
-        if state.link == me {
-            // v is the sink: the request is queued behind id_o(v) without any message.
-            let pred = previous.expect(
-                "a sink always holds an id: either the virtual root request or \
-                 a request it issued earlier",
-            );
-            self.complete_queuing(ctx, req, obj, pred, me);
-        } else {
-            let target = state.link;
-            state.link = me;
-            self.queue_hops += 1;
-            self.probe.record(ProbeEvent::QueueSent {
-                obj: obj.0,
-                req: req.0,
-                origin: me,
-                to: target,
-            });
-            ctx.send(
-                target,
-                ProtoMsg::Queue {
-                    req,
+        // Translate in order, right after the call. Nothing here re-enters
+        // `process` (a closed loop's next issue waits in the service queue).
+        for i in 0..self.actions.len() {
+            match self.actions[i] {
+                CoreAction::SendQueue {
+                    to,
                     obj,
-                    origin: me,
+                    req,
+                    origin,
                     epoch,
-                },
-            );
+                } => {
+                    self.queue_hops += 1;
+                    ctx.send(
+                        to,
+                        ProtoMsg::Queue {
+                            req,
+                            obj,
+                            origin,
+                            epoch,
+                        },
+                    );
+                }
+                CoreAction::Queued {
+                    obj,
+                    pred,
+                    succ,
+                    origin,
+                    epoch,
+                } => self.queued(ctx, obj, pred, succ, origin, epoch),
+                CoreAction::SendToken { .. } | CoreAction::Granted { .. } => {
+                    unreachable!("the queuing core moves no tokens")
+                }
+            }
+        }
+        self.actions.clear();
+        if let Some((req, obj)) = found {
+            self.note_own_completion(ctx, req, obj);
         }
     }
 
-    /// Node `u` receives `queue(a, o)` from `w`: flip `link_o(u) ← w`; forward to the
-    /// old link target unless `u` was `o`'s sink, in which case `a` is queued behind
-    /// `id_o(u)`.
-    fn handle_queue(
+    /// The queuing of `succ` behind `pred` completed at this node; record it, notify
+    /// the requester if acks are on, and feed the closed-loop workload.
+    fn queued(
         &mut self,
         ctx: &mut Context<ProtoMsg>,
-        from: NodeId,
-        req: RequestId,
         obj: ObjectId,
+        pred: RequestId,
+        succ: RequestId,
         origin: NodeId,
         epoch: u64,
     ) {
-        if !self.admit_epoch(ctx, obj, epoch) {
-            return;
-        }
-        self.probe.record(ProbeEvent::QueueReceived {
-            obj: obj.0,
-            req: req.0,
-            origin,
-            from,
-        });
-        let me = self.me;
-        let epoch = self.epoch;
-        let state = self.object_mut(obj);
-        let old_link = state.link;
-        state.link = from;
-        if old_link == me {
-            // This node was the sink: req is queued behind id_o(u).
-            let pred = state.last_id.expect(
-                "a sink always holds an id: either the virtual root request or \
-                 a request it issued earlier",
-            );
-            self.complete_queuing(ctx, req, obj, pred, origin);
-        } else {
-            self.queue_hops += 1;
-            self.probe.record(ProbeEvent::QueueSent {
-                obj: obj.0,
-                req: req.0,
-                origin,
-                to: old_link,
-            });
-            ctx.send(
-                old_link,
-                ProtoMsg::Queue {
-                    req,
-                    obj,
-                    origin,
-                    epoch,
-                },
-            );
-        }
-    }
-
-    /// The queuing of `req` behind `pred` completed at this node; record it, notify the
-    /// requester if acks are on, and feed the closed-loop workload.
-    fn complete_queuing(
-        &mut self,
-        ctx: &mut Context<ProtoMsg>,
-        req: RequestId,
-        obj: ObjectId,
-        pred: RequestId,
-        origin: NodeId,
-    ) {
-        self.probe.record(ProbeEvent::QueuedBehind {
-            obj: obj.0,
-            req: req.0,
-            pred: pred.0,
-            origin,
-        });
+        let me = self.core.node();
         self.records.push(OrderRecord {
             predecessor: pred,
-            successor: req,
+            successor: succ,
             obj,
-            at_node: self.me,
+            at_node: me,
             informed_at: ctx.now(),
-            epoch: self.epoch,
+            epoch,
         });
-        ctx.record_completion(req.0);
-        if origin == self.me {
+        ctx.record_completion(succ.0);
+        if origin == me {
             // The requester is local: its request completed right here.
-            self.note_own_completion(ctx, req, obj);
+            self.note_own_completion(ctx, succ, obj);
         } else if self.send_ack {
             let found = ProtoMsg::Found {
-                req,
+                req: succ,
                 obj,
                 pred,
-                epoch: self.epoch,
+                epoch,
             };
             match &self.distances {
                 // With a graph metric available, the ack pays d_G(me, origin): the
@@ -534,99 +292,68 @@ impl<P: Probe> ArrowNode<P> {
                 Some(dm) => ctx.send_direct(
                     origin,
                     found,
-                    SimDuration::from_units_f64(dm.dist(self.me, origin)),
+                    SimDuration::from_units_f64(dm.dist(me, origin)),
                 ),
                 None => ctx.send(origin, found),
             }
         }
     }
 
-    fn handle_found(
-        &mut self,
-        ctx: &mut Context<ProtoMsg>,
-        req: RequestId,
-        obj: ObjectId,
-        _pred: RequestId,
-        epoch: u64,
-    ) {
-        if !self.admit_epoch(ctx, obj, epoch) {
-            return;
-        }
-        self.note_own_completion(ctx, req, obj);
-    }
-
     /// One of this node's own requests completed; in closed-loop mode, issue the next.
     fn note_own_completion(&mut self, ctx: &mut Context<ProtoMsg>, req: RequestId, obj: ObjectId) {
-        self.pending.remove(&(obj, req));
+        self.core.complete(obj, req);
         if !self.completed.insert(req) {
             // A request can complete once per epoch it was re-issued in; only the
             // first notification counts (and feeds the closed loop).
             self.duplicate_grants += 1;
             return;
         }
-        self.probe.record(ProbeEvent::Granted {
+        self.core.probe_mut().record(ProbeEvent::Granted {
             obj: obj.0,
             req: req.0,
         });
         self.own_completions.push((req, ctx.now()));
-        if let Some(cl) = &mut self.closed_loop {
-            if cl.remaining > 0 {
-                cl.remaining -= 1;
-                if cl.remaining > 0 {
-                    let next = cl.next_request_id(self.me);
-                    // Route the next issue through the service queue so it pays the
-                    // local service time before being processed. Closed-loop
-                    // workloads drive the default object only.
-                    let issue = ProtoMsg::Issue {
-                        req: next,
-                        obj: ObjectId::DEFAULT,
-                    };
-                    if let Some((f, m)) = self.service.offer(ctx, (self.me, issue)) {
-                        self.process(ctx, f, m);
-                    }
-                }
+        if self.closed_loop_remaining > 0 {
+            self.closed_loop_remaining -= 1;
+            if self.closed_loop_remaining > 0 {
+                self.issue_next(ctx);
             }
         }
+    }
+
+    /// Closed loop: issue the next request for the default object. It joins the
+    /// service queue, so it pays the local service time before being processed;
+    /// a closed loop's service time is positive, so the queue always buffers it.
+    fn issue_next(&mut self, ctx: &mut Context<ProtoMsg>) {
+        let issue = ProtoMsg::Issue {
+            req: self.core.fresh_request_id(),
+            obj: ObjectId::DEFAULT,
+        };
+        let now = self.service.offer(ctx, (self.core.node(), issue));
+        assert!(now.is_none(), "a closed loop never runs pass-through");
     }
 }
 
 impl<P: Probe> Process<ProtoMsg> for ArrowNode<P> {
     fn on_start(&mut self, ctx: &mut Context<ProtoMsg>) {
         // Closed-loop mode: issue the first request at time zero.
-        if let Some(cl) = &mut self.closed_loop {
-            if cl.remaining > 0 {
-                let first = cl.next_request_id(self.me);
-                let item: WorkItem = (
-                    self.me,
-                    ProtoMsg::Issue {
-                        req: first,
-                        obj: ObjectId::DEFAULT,
-                    },
-                );
-                if let Some((f, m)) = self.service.offer(ctx, item) {
-                    self.process(ctx, f, m);
-                }
-            }
+        if self.closed_loop_remaining > 0 {
+            self.issue_next(ctx);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Context<ProtoMsg>, from: NodeId, msg: ProtoMsg) {
-        if let Some((f, m)) = self.service.offer(ctx, (from, msg)) {
-            self.process(ctx, f, m);
-        }
+        self.offer(ctx, (from, msg));
     }
 
     fn on_external(&mut self, ctx: &mut Context<ProtoMsg>, input: ProtoMsg) {
-        let me = self.me;
-        if let Some((f, m)) = self.service.offer(ctx, (me, input)) {
-            self.process(ctx, f, m);
-        }
+        self.offer(ctx, (self.core.node(), input));
     }
 
     fn on_timer(&mut self, ctx: &mut Context<ProtoMsg>, tag: u64) {
         if tag == SERVICE_TIMER_TAG {
-            if let Some((f, m)) = self.service.on_timer(ctx) {
-                self.process(ctx, f, m);
+            if let Some((from, msg)) = self.service.on_timer(ctx) {
+                self.process(ctx, from, msg);
             }
         }
     }
@@ -644,9 +371,14 @@ mod tests {
         }
     }
 
-    /// Build arrow nodes for a path 0 - 1 - 2 - 3 rooted at node 0
-    /// (all links initially point towards 0).
-    fn path_nodes(n: usize, root: usize, ack: bool) -> Vec<ArrowNode> {
+    /// A node of an `n`-node system serving `objects` objects from `link`.
+    fn node(v: NodeId, link: NodeId, objects: usize, n: usize, ack: bool) -> ArrowNode {
+        ArrowNode::new(QueuingCore::new(v, link, objects, n, NoProbe), ack, 0.0)
+    }
+
+    /// Build `objects`-object arrow nodes for a path 0 - 1 - ... - (n-1) rooted at
+    /// `root` (all links initially point towards the root).
+    fn path_nodes_multi(n: usize, root: usize, objects: usize, ack: bool) -> Vec<ArrowNode> {
         (0..n)
             .map(|v| {
                 let link = if v == root {
@@ -656,19 +388,34 @@ mod tests {
                 } else {
                     v + 1
                 };
-                ArrowNode::new(v, link, ack, 0.0)
+                node(v, link, objects, n, ack)
             })
             .collect()
     }
 
+    fn path_nodes(n: usize, root: usize, ack: bool) -> Vec<ArrowNode> {
+        path_nodes_multi(n, root, 1, ack)
+    }
+
+    fn link(node: &ArrowNode, obj: ObjectId) -> NodeId {
+        node.core().link_of(obj)
+    }
+
+    fn is_sink(node: &ArrowNode, obj: ObjectId) -> bool {
+        link(node, obj) == node.core().node()
+    }
+
+    const D: ObjectId = ObjectId::DEFAULT;
+
     #[test]
     fn initial_root_is_sink_with_virtual_request() {
         let nodes = path_nodes(4, 0, false);
-        assert!(nodes[0].is_sink());
-        assert_eq!(nodes[0].last_request(), Some(RequestId::ROOT));
-        assert!(!nodes[1].is_sink());
-        assert_eq!(nodes[1].last_request(), None);
-        assert_eq!(nodes[1].link(), 0);
+        assert!(is_sink(&nodes[0], D));
+        assert_eq!(nodes[0].core().last_id_of(D), RequestId::ROOT);
+        // A non-root node's initial id is never read (it can only become a sink
+        // by issuing, which overwrites it); what matters is its pointer.
+        assert!(!is_sink(&nodes[1], D));
+        assert_eq!(link(&nodes[1], D), 0);
     }
 
     #[test]
@@ -683,10 +430,10 @@ mod tests {
         assert_eq!(recs[0].successor, RequestId(1));
         assert_eq!(recs[0].informed_at, SimTime::from_units(3));
         // All pointers now lead to node 3 (the new tail).
-        assert_eq!(sim.node(0).link(), 1);
-        assert_eq!(sim.node(1).link(), 2);
-        assert_eq!(sim.node(2).link(), 3);
-        assert!(sim.node(3).is_sink());
+        assert_eq!(link(sim.node(0), D), 1);
+        assert_eq!(link(sim.node(1), D), 2);
+        assert_eq!(link(sim.node(2), D), 3);
+        assert!(is_sink(sim.node(3), D));
         // 3 inter-processor queue hops.
         let hops: u64 = (0..4).map(|v| sim.node(v).queue_hops()).sum();
         assert_eq!(hops, 3);
@@ -702,9 +449,10 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].predecessor, RequestId::ROOT);
         // The root remains the sink and its id is now the new request.
-        assert!(sim.node(0).is_sink());
-        assert_eq!(sim.node(0).last_request(), Some(RequestId(1)));
+        assert!(is_sink(sim.node(0), D));
+        assert_eq!(sim.node(0).core().last_id_of(D), RequestId(1));
         assert_eq!(sim.node(0).own_completions().len(), 1);
+        assert_eq!(sim.node(0).core().pending().count(), 0);
     }
 
     #[test]
@@ -740,7 +488,7 @@ mod tests {
         successors.dedup();
         assert_eq!(successors.len(), n - 1, "every request queued exactly once");
         // Exactly one node is the final sink.
-        let sinks = (0..n).filter(|&v| sim.node(v).is_sink()).count();
+        let sinks = (0..n).filter(|&v| is_sink(sim.node(v), D)).count();
         assert_eq!(sinks, 1);
     }
 
@@ -748,12 +496,7 @@ mod tests {
     fn per_object_arrow_state_is_independent() {
         // Two objects on a path 0 - 1 - 2 - 3, both rooted at node 0. A request for
         // object 1 must flip only object 1's pointers.
-        let nodes: Vec<ArrowNode> = (0..4)
-            .map(|v| {
-                let link = if v == 0 { v } else { v - 1 };
-                ArrowNode::new_multi(v, &[link, link], false, 0.0)
-            })
-            .collect();
+        let nodes = path_nodes_multi(4, 0, 2, false);
         let mut sim = Simulator::new(nodes, SimConfig::synchronous());
         sim.schedule_external(
             SimTime::ZERO,
@@ -765,10 +508,10 @@ mod tests {
         );
         sim.run();
         // Object 1's pointers now lead to node 3; object 0's still lead to node 0.
-        assert!(sim.node(3).is_sink_for(ObjectId(1)));
-        assert!(!sim.node(3).is_sink_for(ObjectId(0)));
-        assert!(sim.node(0).is_sink_for(ObjectId(0)));
-        assert_eq!(sim.node(0).link_for(ObjectId(1)), 1);
+        assert!(is_sink(sim.node(3), ObjectId(1)));
+        assert!(!is_sink(sim.node(3), ObjectId(0)));
+        assert!(is_sink(sim.node(0), ObjectId(0)));
+        assert_eq!(link(sim.node(0), ObjectId(1)), 1);
         // The record belongs to object 1.
         let recs = sim.node(0).records();
         assert_eq!(recs.len(), 1);
@@ -782,12 +525,7 @@ mod tests {
         // own virtual root request — no cross-object queuing.
         let k = 4;
         let n = 6;
-        let links: Vec<Vec<NodeId>> = (0..n)
-            .map(|v| (0..k).map(|_| if v == 0 { 0 } else { v - 1 }).collect())
-            .collect();
-        let nodes: Vec<ArrowNode> = (0..n)
-            .map(|v| ArrowNode::new_multi(v, &links[v], false, 0.0))
-            .collect();
+        let nodes = path_nodes_multi(n, 0, k, false);
         let mut sim = Simulator::new(nodes, SimConfig::synchronous());
         for o in 0..k {
             sim.schedule_external(
@@ -817,7 +555,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not serve object")]
     fn request_for_unknown_object_panics() {
-        let mut node = ArrowNode::new(0, 0, false, 0.0);
+        let mut node = node(0, 0, 1, 1, false);
         let mut ctx = Context::new(0, SimTime::ZERO);
         node.on_external(
             &mut ctx,
@@ -837,6 +575,8 @@ mod tests {
         assert_eq!(completions.len(), 1);
         // 2 hops to reach the root plus 1 hop (direct) back.
         assert_eq!(completions[0].1, SimTime::from_units(3));
+        // The ack completed the request in the core as well.
+        assert_eq!(sim.node(2).core().pending().count(), 0);
     }
 
     #[test]
@@ -847,7 +587,7 @@ mod tests {
         };
         let mut nodes = path_nodes(3, 0, true);
         for node in &mut nodes {
-            node.enable_closed_loop(&spec, 3);
+            node.enable_closed_loop(&spec);
         }
         let mut sim = Simulator::new(nodes, SimConfig::synchronous());
         sim.run();
@@ -867,19 +607,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive local service time")]
     fn closed_loop_requires_positive_service_time() {
-        let mut node = ArrowNode::new(0, 0, true, 0.0);
-        node.enable_closed_loop(
-            &ClosedLoopSpec {
-                requests_per_node: 10,
-                local_service_time: 0.0,
-            },
-            1,
-        );
+        let mut node = node(0, 0, 1, 1, true);
+        node.enable_closed_loop(&ClosedLoopSpec {
+            requests_per_node: 10,
+            local_service_time: 0.0,
+        });
     }
 
     #[test]
     fn central_message_is_recorded_as_violation_not_processed() {
-        let mut node = ArrowNode::new(0, 0, false, 0.0);
+        let mut node = node(0, 0, 1, 2, false);
         let mut ctx = Context::new(0, SimTime::ZERO);
         assert!(node.protocol_violation().is_none());
         node.on_message(
@@ -895,7 +632,7 @@ mod tests {
         assert!(violation.contains("non-arrow message"), "{violation}");
         // The violating message was dropped: no record, no state change.
         assert!(node.records().is_empty());
-        assert!(node.is_sink());
+        assert!(is_sink(&node, D));
         // A second violation does not overwrite the first.
         node.on_message(
             &mut ctx,

@@ -40,8 +40,8 @@
 //! * [`request`] / [`workload`] — queuing requests (with their [`ObjectId`]),
 //!   schedules, workload generators (incl. Zipf object popularity and migrating
 //!   per-object hotspots).
-//! * [`arrow`] — the arrow node automaton (runs on the [`desim`] simulator), one
-//!   independent arrow state per object.
+//! * [`arrow`] — the simulator's arrow node: a [`desim`] adapter over the shared
+//!   arrow automaton [`live::QueuingCore`], one independent arrow state per object.
 //! * [`centralized`] — the home-based baseline protocol (per-object queue tails).
 //! * [`order`] — queuing orders, successor records, per-object validation, latency
 //!   accounting.
@@ -50,9 +50,9 @@
 //! * [`live`] — a real-concurrency runtime (one OS thread per node, std mpsc
 //!   channels) whose node threads multiplex the per-object automata and exclusion
 //!   tokens, plus a [`live::DistributedLock`] built on the queue. Its protocol
-//!   logic is the standalone [`live::ArrowCore`] state machine, also consumed by
-//!   the socket tier (the `arrow-net` crate) so the two real-concurrency runtimes
-//!   cannot drift.
+//!   logic is the standalone [`live::ArrowCore`] state machine — the shared
+//!   [`live::QueuingCore`] plus exclusion tokens — also consumed by the socket
+//!   tier (the `arrow-net` crate), so the protocol exists once for every tier.
 //!
 //! ## Quick example
 //!

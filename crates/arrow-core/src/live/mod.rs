@@ -8,9 +8,11 @@
 //! the paper's introduction motivates — to pass an exclusive token from each request
 //! to its successor, i.e. distributed mutual exclusion.
 //!
-//! * [`core`] — the transport-agnostic per-node arrow state machine
-//!   ([`core::ArrowCore`]), shared with the socket runtime in the `arrow-net` crate
-//!   so the real-concurrency tiers cannot drift.
+//! * [`core`] — the transport-agnostic per-node arrow state machine, the one
+//!   implementation of the protocol: the queuing automaton ([`core::QueuingCore`]),
+//!   which the simulator's node adapts to `desim`, and the token-passing
+//!   [`core::ArrowCore`] built on it, which this runtime, the socket runtime in the
+//!   `arrow-net` crate and the model checker run. No tier can drift from another.
 //! * [`ArrowRuntime`] — spawns one thread per node of a spanning tree and exposes a
 //!   [`NodeHandle`] per node with `acquire()` / `release()` token operations.
 //! * [`DistributedLock`] — a guard-style wrapper around a handle.
@@ -21,6 +23,6 @@ pub mod core;
 mod lock;
 mod runtime;
 
-pub use core::{ArrowCore, CoreAction, CoreSnapshot};
+pub use core::{ArrowCore, CoreAction, CoreSnapshot, QueuingCore};
 pub use lock::{CriticalSectionLog, DistributedLock, LockGuard, SectionRecord};
 pub use runtime::{ArrowRuntime, FaultHandle, LiveReport, NodeHandle, RuntimeStats, EVENT_BATCH};

@@ -16,6 +16,7 @@
 use crate::arrow::ArrowNode;
 use crate::centralized::CentralizedNode;
 use crate::fault::FaultSchedule;
+use crate::live::core::QueuingCore;
 use crate::order::{validate_churn_records, OrderRecord, QueuingOrder};
 use crate::protocol::{ProtoMsg, ProtocolKind};
 use crate::request::{ObjectId, Request, RequestId, RequestSchedule};
@@ -601,45 +602,15 @@ pub fn run_schedule_faulted(
     );
     let n = instance.node_count();
     let tree = &instance.tree;
-    let root = tree.root();
     faults
         .validate(tree)
         .map_err(|description| RunError::ChurnViolation { description })?;
 
-    let k = schedule.object_id_bound();
-    let mut nodes: Vec<ArrowNode> = (0..n)
-        .map(|v| {
-            let link = if v == root {
-                v
-            } else {
-                tree.parent(v).unwrap()
-            };
-            ArrowNode::new_multi(v, &vec![link; k], true, 0.0)
-        })
-        .collect();
-    let dm = instance.distances();
-    for node in &mut nodes {
-        node.set_distances(Arc::clone(&dm));
-    }
-
     let mut config = config.clone();
     config.ack_to_requester = true;
-    let mut sim = Simulator::new(nodes, sim_config(&config));
-    for v in 0..n {
-        if let Some(p) = tree.parent(v) {
-            sim.set_link_weight(v, p, tree.parent_edge_weight(v));
-        }
-    }
-    for r in schedule.requests() {
-        sim.schedule_external(
-            r.time,
-            r.node,
-            ProtoMsg::Issue {
-                req: r.id,
-                obj: r.obj,
-            },
-        );
-    }
+    let k = schedule.object_id_bound();
+    let mut sim = arrow_sim(instance, &config, k, None, |_| arrow_trace::NoProbe);
+    schedule_open_loop(&mut sim, WorkloadRef::Open(schedule));
     // Inject the faults, and after each one a detection signal to every node
     // advancing the recovery epoch (crashed nodes miss it — silenced — and catch up
     // from the next signal or fast-forward from live traffic after restarting).
@@ -676,7 +647,7 @@ pub fn run_schedule_faulted(
         records.extend_from_slice(node.records());
         issued.extend(node.issued().iter().map(|&(id, _, _)| id));
         granted.extend(node.own_completions().iter().map(|&(id, _)| id));
-        stale_drops += node.stale_drops();
+        stale_drops += node.core().stale_drops();
         duplicate_grants += node.duplicate_grants();
     }
     issued.sort_unstable();
@@ -758,11 +729,9 @@ fn run_arrow_with<P: arrow_trace::Probe>(
     instance: &Instance,
     workload: WorkloadRef<'_>,
     config: &RunConfig,
-    mut probe_for: impl FnMut(NodeId) -> P,
+    probe_for: impl FnMut(NodeId) -> P,
 ) -> Result<(QueuingOutcome, desim::Trace), RunError> {
     let n = instance.node_count();
-    let tree = &instance.tree;
-    let root = tree.root();
     let closed = closed_loop_spec(workload);
     if closed.is_some() {
         assert!(
@@ -787,44 +756,7 @@ fn run_arrow_with<P: arrow_trace::Probe>(
          {k} object states per node — use dense object ids starting at 0",
         k - 1
     );
-    let mut nodes: Vec<ArrowNode<P>> = (0..n)
-        .map(|v| {
-            let link = if v == root {
-                v
-            } else {
-                tree.parent(v).unwrap()
-            };
-            let links = vec![link; k];
-            ArrowNode::new_multi_with_probe(
-                v,
-                &links,
-                config.ack_to_requester,
-                config.local_service_time,
-                probe_for(v),
-            )
-        })
-        .collect();
-    if let Some(spec) = closed {
-        for node in &mut nodes {
-            node.enable_closed_loop(spec, n);
-        }
-    }
-    // Acknowledgements travel over the graph metric: each ack is a direct send
-    // paying d_G(sink, requester), so only the tree links below need weights.
-    if config.ack_to_requester {
-        let dm = instance.distances();
-        for node in &mut nodes {
-            node.set_distances(Arc::clone(&dm));
-        }
-    }
-
-    let mut sim = Simulator::new(nodes, sim_config(config));
-    // Tree edges carry the tree edge weight.
-    for v in 0..n {
-        if let Some(p) = tree.parent(v) {
-            sim.set_link_weight(v, p, tree.parent_edge_weight(v));
-        }
-    }
+    let mut sim = arrow_sim(instance, config, k, closed, probe_for);
     schedule_open_loop(&mut sim, workload);
     let outcome = sim.run();
 
@@ -871,6 +803,42 @@ fn run_arrow_with<P: arrow_trace::Probe>(
         outcome.events,
     )?;
     Ok((result, sim.trace().clone()))
+}
+
+/// The arrow simulator for `instance`: one [`ArrowNode`] per tree node, each
+/// adapting the shared [`QueuingCore`] for `objects` objects rooted at the tree
+/// root, with the closed loop enabled when `closed` is given. Tree edges carry
+/// the tree edge weight; acknowledgements (when on) travel over the graph metric,
+/// each a direct send paying `d_G(sink, requester)`, so no other link needs one.
+fn arrow_sim<P: arrow_trace::Probe>(
+    instance: &Instance,
+    config: &RunConfig,
+    objects: usize,
+    closed: Option<&ClosedLoopSpec>,
+    mut probe_for: impl FnMut(NodeId) -> P,
+) -> Simulator<ProtoMsg, ArrowNode<P>> {
+    let tree = &instance.tree;
+    let distances = config.ack_to_requester.then(|| instance.distances());
+    let nodes = (0..instance.node_count())
+        .map(|v| {
+            let core = QueuingCore::for_tree(v, tree, objects, probe_for(v));
+            let mut node = ArrowNode::new(core, config.ack_to_requester, config.local_service_time);
+            if let Some(spec) = closed {
+                node.enable_closed_loop(spec);
+            }
+            if let Some(dm) = &distances {
+                node.set_distances(Arc::clone(dm));
+            }
+            node
+        })
+        .collect();
+    let mut sim = Simulator::new(nodes, sim_config(config));
+    for v in 0..instance.node_count() {
+        if let Some(p) = tree.parent(v) {
+            sim.set_link_weight(v, p, tree.parent_edge_weight(v));
+        }
+    }
+    sim
 }
 
 fn run_centralized(
@@ -1283,14 +1251,9 @@ mod tests {
     fn checked_path_surfaces_protocol_violations_from_nodes() {
         // Drive the harness's own simulator setup, then inject an out-of-protocol
         // message: the run must come back as RunError::ProtocolViolation, not abort.
-        use desim::Simulator;
-        let mut sim = Simulator::new(
-            vec![
-                ArrowNode::new(0, 0, false, 0.0),
-                ArrowNode::new(1, 0, false, 0.0),
-            ],
-            SimConfig::synchronous(),
-        );
+        let instance = Instance::complete_uniform(2, SpanningTreeKind::BalancedBinary);
+        let config = RunConfig::analysis(ProtocolKind::Arrow);
+        let mut sim = arrow_sim(&instance, &config, 1, None, |_| arrow_trace::NoProbe);
         sim.schedule_external(
             SimTime::ZERO,
             1,

@@ -1541,7 +1541,9 @@ impl<P: Probe> Shard<P> {
                 origin,
                 epoch,
             }) => {
-                if origin >= self.addrs.len() {
+                // Peer input is untrusted: an unknown origin or an object this
+                // node does not serve is dropped, never handed to the core.
+                if origin >= self.addrs.len() || !serves(&state.core, obj) {
                     self.stats.inc(Metric::UnexpectedFrames);
                     return;
                 }
@@ -1550,6 +1552,10 @@ impl<P: Probe> Shard<P> {
                     .on_queue(from, obj, req, origin, epoch, &mut state.actions);
             }
             Frame::Token { obj, req, epoch } => {
+                if !serves(&state.core, obj) {
+                    self.stats.inc(Metric::UnexpectedFrames);
+                    return;
+                }
                 state.core.on_token(obj, req, epoch, &mut state.actions);
             }
             Frame::Proto(ProtoMsg::Epoch { epoch }) => {
@@ -1797,6 +1803,11 @@ impl<P: Probe> Shard<P> {
     }
 }
 
+/// Whether `core` serves `obj` (peer frames naming another object are dropped).
+fn serves<P: Probe>(core: &ArrowCore<P>, obj: ObjectId) -> bool {
+    (obj.0 as usize) < core.object_count()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1927,6 +1938,98 @@ mod tests {
         assert!(injectors[0].send(ShardCmd::Shutdown));
         for t in threads {
             t.join().expect("shard joins");
+        }
+    }
+
+    /// A peer frame naming an object the node does not serve is untrusted input,
+    /// not a programmer error: a fake peer sends `Queue` and `Token` frames for
+    /// object 5 to a K = 1 node. The shard must drop and count both, keep its
+    /// token bookkeeping clean, and go on serving a local acquire and the peer's
+    /// next valid `queue()`.
+    #[test]
+    fn out_of_range_object_frames_are_dropped_not_fatal() {
+        let tree = RootedTree::from_tree_graph(&generators::path(2), 0);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr0 = listener.local_addr().expect("listener addr");
+        let addrs = vec![addr0, "127.0.0.1:1".parse().expect("addr literal")];
+        let shared = shared_for(tree, addrs);
+        let core = ArrowCore::for_tree_with_probe(0, &shared.tree, 1, NoProbe);
+        let (injectors, threads) = spawn_shards(&shared, vec![vec![(0, core, listener)]]);
+
+        let mut peer = TcpStream::connect(addr0).expect("dial the shard");
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        peer.write_all(&Frame::Hello { node: 1 }.encode())
+            .expect("hello");
+        assert_eq!(read_frames(&mut peer, 1), vec![Frame::Welcome { node: 0 }]);
+
+        let bad_queue = Frame::Proto(ProtoMsg::Queue {
+            req: RequestId(7),
+            obj: ObjectId(5),
+            origin: 1,
+            epoch: 0,
+        });
+        let bad_token = Frame::Token {
+            obj: ObjectId(5),
+            req: RequestId(9),
+            epoch: 0,
+        };
+        peer.write_all(&bad_queue.encode()).expect("bad queue");
+        peer.write_all(&bad_token.encode()).expect("bad token");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while shared.stats.snapshot().unexpected_frames < 2 {
+            assert!(
+                Instant::now() < deadline,
+                "bad frames never counted: {:?}",
+                shared.stats.snapshot()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        // The shard still serves a local acquire: the root holds the token.
+        let (reply, grants) = std::sync::mpsc::channel();
+        assert!(injectors[0].send(ShardCmd::Acquire {
+            node: 0,
+            obj: ObjectId(0),
+            reply,
+        }));
+        let grant = grants
+            .recv_timeout(Duration::from_secs(10))
+            .expect("local acquire granted");
+        let req = grant.result.expect("acquire succeeded");
+        assert!(injectors[0].send(ShardCmd::Release {
+            node: 0,
+            obj: ObjectId(0),
+            req,
+        }));
+
+        // ...and the peer's next valid queue() wins the released token.
+        let queue = Frame::Proto(ProtoMsg::Queue {
+            req: RequestId(8),
+            obj: ObjectId(0),
+            origin: 1,
+            epoch: 0,
+        });
+        peer.write_all(&queue.encode()).expect("valid queue");
+        let token = read_frames(&mut peer, 1);
+        assert!(
+            matches!(
+                token[0],
+                Frame::Token {
+                    obj: ObjectId(0),
+                    req: RequestId(8),
+                    ..
+                }
+            ),
+            "the valid queue() must win the token, got {token:?}"
+        );
+        assert_eq!(shared.stats.snapshot().unexpected_frames, 2);
+
+        peer.write_all(&Frame::Goodbye.encode()).expect("goodbye");
+        drop(peer);
+        assert!(injectors[0].send(ShardCmd::Shutdown));
+        for t in threads {
+            t.join().expect("shard survives the bad frames");
         }
     }
 

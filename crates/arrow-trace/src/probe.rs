@@ -1,11 +1,13 @@
 //! The zero-cost probe trait the protocol cores are generic over.
 //!
-//! Instrumentation contract: the shared `ArrowCore` (and the simulator tier's
-//! `ArrowNode`) carry a `P: Probe` type parameter defaulting to [`NoProbe`] and
-//! call [`Probe::record`] at every protocol transition point. Because the
-//! parameter is monomorphized and `NoProbe::record` is an empty `#[inline]`
-//! body, the disabled path compiles to nothing — probe-off builds are
-//! bit-identical in behaviour and carry no branch, no load, no call.
+//! Instrumentation contract: the one arrow automaton, `QueuingCore`, and the
+//! wrappers that run it — `ArrowCore` on the thread, socket and cluster tiers,
+//! the simulator adapter `ArrowNode` — carry a `P: Probe` type parameter
+//! defaulting to [`NoProbe`] and call [`Probe::record`] at every protocol
+//! transition point, so every tier emits its events from the same code.
+//! Because the parameter is monomorphized and `NoProbe::record` is an empty
+//! `#[inline]` body, the disabled path compiles to nothing — probe-off builds
+//! are bit-identical in behaviour and carry no branch, no load, no call.
 //!
 //! Events carry **no timestamps**: a recording probe stamps time itself
 //! (wall-clock probes read a monotonic clock at `record` time; the
